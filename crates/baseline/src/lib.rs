@@ -2,21 +2,17 @@
 //! against (§2), implemented under the *same* physical interference model
 //! as the Shepard scheme.
 //!
-//! * [`aloha`] — pure and slotted ALOHA;
-//! * [`csma`] — carrier sense with power-threshold deferral;
-//! * [`maca`] — MACA-style RTS/CTS with NAV deferral.
+//! [`Contention`] runs pure and slotted ALOHA, CSMA with power-threshold
+//! deferral, and MACA-style RTS/CTS with NAV deferral in one event loop;
+//! the scenario's [`MacKind`] picks the access rule.
 //!
-//! All three lose packets to collisions under load; the scheme does not.
+//! All of them lose packets to collisions under load; the scheme does not.
 //! That contrast is experiment E3.
 
 #![warn(missing_docs)]
 
-pub mod aloha;
 pub mod common;
-pub mod csma;
-pub mod maca;
+pub mod contention;
 
-pub use aloha::Aloha;
 pub use common::{BaselineConfig, MacKind, Scenario};
-pub use csma::Csma;
-pub use maca::Maca;
+pub use contention::Contention;

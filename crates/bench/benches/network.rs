@@ -2,7 +2,7 @@
 //! simulated-seconds-per-wall-second for the full scheme and for the
 //! baselines at matched load.
 
-use parn_baseline::{Aloha, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
 use parn_bench::harness;
 use parn_core::{NetConfig, Network};
 use parn_sim::Duration;
@@ -35,7 +35,7 @@ fn main() {
             cfg.arrivals_per_station_per_sec = 2.0;
             cfg.run_for = Duration::from_secs(3);
             cfg.warmup = Duration::from_secs(1);
-            Aloha::run(Scenario::new(cfg))
+            Contention::run(Scenario::new(cfg))
         });
     }
 }

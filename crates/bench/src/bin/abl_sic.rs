@@ -8,7 +8,7 @@
 //! that still falls short of the scheme's zero, at zero receiver
 //! complexity.
 
-use parn_baseline::{Aloha, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{DestPolicy, NetConfig, Network};
 use parn_sim::Duration;
@@ -33,7 +33,7 @@ fn aloha_with_sic(
     }
     parn_sim::obs::reset();
     let config = c.to_json();
-    let (m, wall_s) = timed(|| Aloha::run(Scenario::new(c)));
+    let (m, wall_s) = timed(|| Contention::run(Scenario::new(c)));
     let band = if narrowband { "narrowband" } else { "spread" };
     reporter.record(&Run {
         label: format!("aloha sic_depth={depth} rate={rate} {band}"),

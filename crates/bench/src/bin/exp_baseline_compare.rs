@@ -8,7 +8,7 @@
 //! deferral delay and control overhead — while the Shepard scheme stays at
 //! exactly zero collision losses at every load, trading only delay.
 
-use parn_baseline::{Aloha, BaselineConfig, Csma, MacKind, Maca, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{DestPolicy, Metrics, NetConfig, Network};
 use parn_phys::PowerW;
@@ -25,11 +25,7 @@ fn baseline(reporter: &Reporter, name: &str, mac: MacKind, rate: f64) -> Metrics
     c.warmup = Duration::from_secs(2);
     parn_sim::obs::reset();
     let config = c.to_json();
-    let (m, wall_s) = timed(|| match c.mac {
-        MacKind::Maca { .. } => Maca::run(Scenario::new(c.clone())),
-        MacKind::Csma { .. } => Csma::run(Scenario::new(c.clone())),
-        _ => Aloha::run(Scenario::new(c.clone())),
-    });
+    let (m, wall_s) = timed(|| Contention::run(Scenario::new(c)));
     reporter.record(&Run {
         label: format!("rate={rate} mac={name}"),
         config,

@@ -6,7 +6,7 @@
 //! under the Shepard scheme produces zero collisions of any type; a
 //! random 60-station scenario repeats the contrast at scale.
 
-use parn_baseline::{Aloha, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{classify, DestPolicy, LossCause, NetConfig, Network};
 use parn_phys::propagation::FreeSpace;
@@ -109,7 +109,7 @@ fn main() {
     let reporter = Reporter::create("fig2_collision_types");
     parn_sim::obs::reset();
     let bc_json = bc.to_json();
-    let (naive, naive_wall) = timed(|| Aloha::run(Scenario::new(bc)));
+    let (naive, naive_wall) = timed(|| Contention::run(Scenario::new(bc)));
     reporter.record(&Run {
         label: format!("rate={rate} mac=naive-aloha narrowband"),
         config: bc_json,

@@ -10,7 +10,7 @@
 //! control adapts to density variation and the scheme stays collision-free
 //! where contention MACs shed packets.
 
-use parn::baseline::{Aloha, BaselineConfig, Csma, MacKind, Maca, Scenario};
+use parn::baseline::{BaselineConfig, Contention, MacKind, Scenario};
 use parn::core::{DestPolicy, NetConfig, Network};
 use parn::phys::placement::Placement;
 use parn::phys::PowerW;
@@ -48,14 +48,14 @@ fn main() {
         c.warmup = Duration::from_secs(2);
         Scenario::new(c)
     };
-    let aloha = Aloha::run(mk(MacKind::PureAloha));
-    let slotted = Aloha::run(mk(MacKind::SlottedAloha {
+    let aloha = Contention::run(mk(MacKind::PureAloha));
+    let slotted = Contention::run(mk(MacKind::SlottedAloha {
         slot: Duration::from_micros(2500),
     }));
-    let csma = Csma::run(mk(MacKind::Csma {
+    let csma = Contention::run(mk(MacKind::Csma {
         sense_threshold: PowerW(1e-8),
     }));
-    let maca = Maca::run(mk(MacKind::Maca {
+    let maca = Contention::run(mk(MacKind::Maca {
         ctrl_airtime: Duration::from_micros(250),
     }));
 
