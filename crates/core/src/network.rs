@@ -2868,6 +2868,10 @@ impl Network {
         }
         for s in 0..n {
             if !self.alive[s] {
+                // Like `reachable[s]` above: a station that is down keeps
+                // no neighbours, so a revival before the next rebuild
+                // cannot address one the current table cannot route to.
+                self.stations[s].routing_neighbors.clear();
                 continue;
             }
             let rn = self.routes.routing_neighbors(s);

@@ -5,8 +5,8 @@
 //! path (E9).
 
 use parn::core::{
-    ChurnPlan, FarFieldConfig, HealConfig, MobilityConfig, MobilityModel, NetConfig, Network,
-    PhyBackend, RouteMode,
+    ChurnPlan, DestPolicy, FarFieldConfig, HealConfig, HealMode, MobilityConfig, MobilityModel,
+    NetConfig, Network, PhyBackend, RouteMode,
 };
 use parn::sim::{Duration, Rng};
 use parn::testkit::cases;
@@ -37,6 +37,12 @@ fn motion_config(rng: &mut Rng) -> NetConfig {
     }
     if rng.chance(0.3) {
         cfg.route_mode = RouteMode::Distributed;
+    } else if cfg.heal.mode == HealMode::Oracle && rng.chance(0.5) {
+        // Single-hop neighbour traffic under oracle healing: a station
+        // that returns before the next reroute must not address a
+        // neighbour the current table cannot reach.
+        cfg.route_mode = RouteMode::OneHop;
+        cfg.traffic.dest = DestPolicy::Neighbors;
     }
     cfg
 }
@@ -167,4 +173,29 @@ fn pure_churn_without_motion_conserves() {
         // returns come back in place.
         assert!(m.station_moves <= m.joins, "{}", m.summary());
     });
+}
+
+#[test]
+fn returning_station_waits_for_the_reroute_to_pick_neighbours() {
+    // The E9 mobile-churn arm at n=60 (one-hop, neighbour traffic,
+    // oracle healing). Under seed 5 a departed station returns and draws
+    // an arrival before the next reroute; it used to pick a neighbour from
+    // its pre-departure list and find no route to it.
+    let n = 60;
+    let mut cfg = NetConfig::paper_default(n, 5);
+    cfg.run_for = Duration::from_secs(2);
+    cfg.warmup = Duration::from_millis(500);
+    cfg.route_mode = RouteMode::OneHop;
+    cfg.traffic.dest = DestPolicy::Neighbors;
+    cfg.traffic.arrivals_per_station_per_sec = 0.5;
+    cfg.mobility = Some(MobilityConfig {
+        model: MobilityModel::RandomWaypoint { speed: 1.5 },
+        epoch: Duration::from_millis(200),
+    });
+    let radius = cfg.placement.region().radius;
+    cfg.churn = ChurnPlan::generate(5, n, 30, cfg.run_for, radius);
+    let m = Network::run(cfg);
+    assert!(m.joins > 0, "{}", m.summary());
+    assert!(m.conservation_holds(), "{}", m.summary());
+    assert_eq!(m.hop_attempts - m.hop_successes, m.total_losses());
 }
