@@ -1,12 +1,12 @@
 //! Micro-benchmarks for minimum-energy routing: single-source Dijkstra,
 //! all-pairs table construction, and the distributed Bellman–Ford
-//! convergence that real stations would run.
+//! distance-vector exchange that real stations would run.
 
 use parn_bench::harness;
 use parn_phys::placement::Placement;
 use parn_phys::propagation::FreeSpace;
 use parn_phys::{Gain, GainMatrix};
-use parn_route::{dijkstra, DistributedBellmanFord, EnergyGraph, RouteTable};
+use parn_route::{dijkstra, DvCluster, EnergyGraph, RouteTable};
 use parn_sim::Rng;
 
 fn graph(n: usize) -> EnergyGraph {
@@ -35,12 +35,12 @@ fn main() {
         group.bench(n, || RouteTable::centralized(&g));
     }
 
-    let mut group = h.group("bellman_ford_converge");
+    let mut group = h.group("dv_converge_async");
     for &n in &[50usize, 100] {
         let g = graph(n);
         group.bench(n, || {
-            let mut bf = DistributedBellmanFord::new(g.clone());
-            bf.run_async(&mut Rng::new(9), 10 * n)
+            let mut dv = DvCluster::new(&g);
+            dv.converge_async(&mut Rng::new(9), 10 * n)
         });
     }
 }

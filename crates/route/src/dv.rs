@@ -1,8 +1,9 @@
 //! Per-station distance-vector state for the distributed asynchronous
-//! Bellman–Ford exchange (paper §6.2).
+//! Bellman–Ford exchange (paper §6.2, citing ref \[3]).
 //!
-//! Where [`bellman_ford`](crate::bellman_ford) models the *algorithm* as a
-//! pull-based oracle over a shared graph, this module models the
+//! "The algorithm is also easy to distribute. Each station need only
+//! remember the next hop for each potential destination and the total
+//! energy along that route." This module models that computation as a
 //! *protocol*: each [`DvState`] is the private state one station owns, and
 //! the only way information moves between stations is an explicit
 //! [`advertisement`](DvState::advertisement) handed to
@@ -30,8 +31,7 @@ use parn_phys::StationId;
 use parn_sim::{Duration, Rng, Time};
 use std::collections::BTreeMap;
 
-/// Strict-improvement tolerance, matching the pull-based oracle in
-/// [`bellman_ford`](crate::bellman_ford) so both fixpoints agree with
+/// Strict-improvement tolerance, so that the fixpoint agrees with
 /// Dijkstra bit-for-bit on ties.
 const EPS: f64 = 1e-15;
 

@@ -6,8 +6,8 @@
 //! potential destination and the total energy along that route"),
 //! assembled network-wide for the simulator.
 
-use crate::bellman_ford::DistributedBellmanFord;
 use crate::dijkstra::dijkstra;
+use crate::dv::DvCluster;
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
 use parn_sim::Rng;
@@ -76,25 +76,13 @@ impl RouteTable {
         }
     }
 
-    /// Build by running the distributed asynchronous Bellman–Ford to
-    /// convergence (the decentralized computation real stations would do).
+    /// Build by running the distributed asynchronous Bellman–Ford
+    /// exchange ([`DvCluster`]) to quiescence in seeded-random order (the
+    /// decentralized computation real stations would do).
     pub fn distributed(graph: &EnergyGraph, rng: &mut Rng) -> RouteTable {
-        let n = graph.len();
-        let mut bf = DistributedBellmanFord::new(graph.clone());
-        bf.run_async(rng, 4 * n.max(16));
-        let mut next_hop = vec![None; n * n];
-        let mut cost = vec![f64::INFINITY; n * n];
-        for src in 0..n {
-            let st = bf.node(src);
-            for dst in 0..n {
-                cost[src * n + dst] = st.dist[dst];
-                next_hop[src * n + dst] = st.next_hop[dst];
-            }
-        }
-        RouteTable {
-            n,
-            repr: Repr::Dense { next_hop, cost },
-        }
+        let mut cluster = DvCluster::new(graph);
+        cluster.converge_async(rng, 4 * graph.len().max(16));
+        cluster.to_table()
     }
 
     /// Assemble a dense table from per-station rows — used by
