@@ -4,15 +4,16 @@
 //!
 //! [`Contention`] runs pure and slotted ALOHA, CSMA with power-threshold
 //! deferral, and MACA-style RTS/CTS with NAV deferral in one event loop;
-//! the scenario's [`MacKind`] picks the access rule.
+//! the [`BaselineConfig`]'s [`MacKind`] picks the access rule. The world
+//! itself — placement, gains, criterion, power, noise, load, run length —
+//! is the scheme's own [`parn_core::NetConfig`], built by the same
+//! [`parn_core::World`] the scheme uses.
 //!
 //! All of them lose packets to collisions under load; the scheme does not.
 //! That contrast is experiment E3.
 
 #![warn(missing_docs)]
 
-pub mod common;
 pub mod contention;
 
-pub use common::{BaselineConfig, MacKind, Scenario};
-pub use contention::Contention;
+pub use contention::{BaselineConfig, Contention, MacKind};

@@ -2,9 +2,9 @@
 //! simulated-seconds-per-wall-second for the full scheme and for the
 //! baselines at matched load.
 
-use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind};
 use parn_bench::harness;
-use parn_core::{NetConfig, Network};
+use parn_core::{DestPolicy, NetConfig, Network};
 use parn_sim::Duration;
 
 fn scenario(n: usize) -> NetConfig {
@@ -30,12 +30,10 @@ fn main() {
 
     let mut group = h.group("baseline_aloha_run_3s");
     for &n in &[50usize, 100] {
+        let mut cfg = scenario(n);
+        cfg.traffic.dest = DestPolicy::Neighbors;
         group.bench(n, || {
-            let mut cfg = BaselineConfig::matched(n, 77, MacKind::PureAloha);
-            cfg.arrivals_per_station_per_sec = 2.0;
-            cfg.run_for = Duration::from_secs(3);
-            cfg.warmup = Duration::from_secs(1);
-            Contention::run(Scenario::new(cfg))
+            Contention::run(&cfg, BaselineConfig::new(MacKind::PureAloha))
         });
     }
 }

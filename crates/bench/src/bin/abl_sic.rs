@@ -8,10 +8,21 @@
 //! that still falls short of the scheme's zero, at zero receiver
 //! complexity.
 
-use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind};
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{DestPolicy, NetConfig, Network};
 use parn_sim::Duration;
+
+/// 50 stations, seed 8, one-hop neighbour traffic: the world both the
+/// ALOHA arms and the scheme run on.
+fn scenario(rate: f64) -> NetConfig {
+    let mut cfg = NetConfig::paper_default(50, 8);
+    cfg.traffic.arrivals_per_station_per_sec = rate;
+    cfg.traffic.dest = DestPolicy::Neighbors;
+    cfg.run_for = Duration::from_secs(10);
+    cfg.warmup = Duration::from_secs(2);
+    cfg
+}
 
 fn aloha_with_sic(
     reporter: &Reporter,
@@ -19,21 +30,19 @@ fn aloha_with_sic(
     rate: f64,
     narrowband: bool,
 ) -> parn_core::Metrics {
-    let mut c = BaselineConfig::matched(50, 8, MacKind::PureAloha);
-    c.arrivals_per_station_per_sec = rate;
-    c.sic_depth = depth;
-    c.run_for = Duration::from_secs(10);
-    c.warmup = Duration::from_secs(2);
+    let mut cfg = scenario(rate);
     if narrowband {
-        c.criterion = parn_phys::ReceptionCriterion {
+        cfg.criterion = parn_phys::ReceptionCriterion {
             rate_bps: 1e6,
             bandwidth_hz: 1e6,
             margin: 2.0,
         };
     }
+    let mut mac = BaselineConfig::new(MacKind::PureAloha);
+    mac.sic_depth = depth;
     parn_sim::obs::reset();
-    let config = c.to_json();
-    let (m, wall_s) = timed(|| Contention::run(Scenario::new(c)));
+    let config = mac.to_json(&cfg);
+    let (m, wall_s) = timed(|| Contention::run(&cfg, mac));
     let band = if narrowband { "narrowband" } else { "spread" };
     reporter.record(&Run {
         label: format!("aloha sic_depth={depth} rate={rate} {band}"),
@@ -95,11 +104,7 @@ fn main() {
     }
 
     // The reference point: the scheme needs no cancellation at all.
-    let mut cfg = NetConfig::paper_default(50, 8);
-    cfg.traffic.arrivals_per_station_per_sec = 8.0;
-    cfg.traffic.dest = DestPolicy::Neighbors;
-    cfg.run_for = Duration::from_secs(10);
-    cfg.warmup = Duration::from_secs(2);
+    let cfg = scenario(8.0);
     parn_sim::obs::reset();
     let (scheme, scheme_wall) = timed(|| Network::run(cfg.clone()));
     reporter.record(&Run {

@@ -6,7 +6,7 @@
 //! under the Shepard scheme produces zero collisions of any type; a
 //! random 60-station scenario repeats the contrast at scale.
 
-use parn_baseline::{BaselineConfig, Contention, MacKind, Scenario};
+use parn_baseline::{BaselineConfig, Contention, MacKind};
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{classify, DestPolicy, LossCause, NetConfig, Network};
 use parn_phys::propagation::FreeSpace;
@@ -95,33 +95,31 @@ fn main() {
     let rate = 8.0;
     let seed = 2;
 
-    let mut bc = BaselineConfig::matched(n, seed, MacKind::PureAloha);
-    bc.arrivals_per_station_per_sec = rate;
-    bc.run_for = Duration::from_secs(12);
-    bc.warmup = Duration::from_secs(2);
-    // Narrowband radios (no processing gain): the regime the classic
-    // taxonomy describes — any comparable-power overlap is fatal.
-    bc.criterion = parn_phys::ReceptionCriterion {
-        rate_bps: 1e6,
-        bandwidth_hz: 1e6,
-        margin: 2.0,
-    };
-    let reporter = Reporter::create("fig2_collision_types");
-    parn_sim::obs::reset();
-    let bc_json = bc.to_json();
-    let (naive, naive_wall) = timed(|| Contention::run(Scenario::new(bc)));
-    reporter.record(&Run {
-        label: format!("rate={rate} mac=naive-aloha narrowband"),
-        config: bc_json,
-        metrics: naive.to_json(),
-        wall_s: naive_wall,
-    });
-
     let mut cfg = NetConfig::paper_default(n, seed);
     cfg.traffic.arrivals_per_station_per_sec = rate;
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(12);
     cfg.warmup = Duration::from_secs(2);
+    // Narrowband radios (no processing gain): the regime the classic
+    // taxonomy describes — any comparable-power overlap is fatal.
+    let mut narrow = cfg.clone();
+    narrow.criterion = parn_phys::ReceptionCriterion {
+        rate_bps: 1e6,
+        bandwidth_hz: 1e6,
+        margin: 2.0,
+    };
+    let aloha = BaselineConfig::new(MacKind::PureAloha);
+    let reporter = Reporter::create("fig2_collision_types");
+    parn_sim::obs::reset();
+    let naive_json = aloha.to_json(&narrow);
+    let (naive, naive_wall) = timed(|| Contention::run(&narrow, aloha));
+    reporter.record(&Run {
+        label: format!("rate={rate} mac=naive-aloha narrowband"),
+        config: naive_json,
+        metrics: naive.to_json(),
+        wall_s: naive_wall,
+    });
+
     parn_sim::obs::reset();
     let (scheme, scheme_wall) = timed(|| Network::run(cfg.clone()));
     reporter.record(&Run {

@@ -8,6 +8,7 @@
 
 use crate::faults::{FaultPlan, HealConfig};
 use crate::mobility::{ChurnPlan, MobilityConfig};
+use crate::power::PowerPolicy;
 use parn_phys::placement::Placement;
 use parn_phys::{PowerW, ReceptionCriterion};
 use parn_sched::SchedParams;
@@ -488,6 +489,18 @@ impl NetConfig {
     /// Payload carried per packet at the design rate.
     pub fn packet_bits(&self) -> f64 {
         self.criterion.rate_bps * self.packet_airtime().as_secs_f64()
+    }
+
+    /// The §6.1 power policy: deliver `delivered_power` under a
+    /// `max_power` ceiling, or `fixed_power` when set (ablation A1).
+    pub fn power_policy(&self) -> PowerPolicy {
+        match self.fixed_power {
+            Some(p) => PowerPolicy::Fixed(p),
+            None => PowerPolicy::Controlled {
+                target: self.delivered_power,
+                max: self.max_power,
+            },
+        }
     }
 
     /// The SINR threshold every reception must hold.

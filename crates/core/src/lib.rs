@@ -11,6 +11,8 @@
 //! * [`power`] — §6.1 power control (deliver constant power);
 //! * [`collision`] — the §5 collision taxonomy over PHY failure reports;
 //! * [`station`] — per-station protocol state;
+//! * [`world`] — the physical world a config describes (positions, gains,
+//!   reach, SINR tracker), shared by the scheme and the baselines;
 //! * [`network`] — the full event-driven simulator (MAC + PHY + routing +
 //!   traffic);
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
@@ -38,6 +40,7 @@ pub mod packet;
 pub mod power;
 pub mod station;
 pub mod traffic;
+pub mod world;
 
 pub use collision::{classify, classify_with, CollisionKinds};
 pub use config::{
@@ -50,3 +53,4 @@ pub use mobility::{ChurnEvent, ChurnKind, ChurnPlan, MobilityConfig, MobilityMod
 pub use network::{Event, Network};
 pub use packet::{ControlPayload, LossCause, Packet, PacketKind};
 pub use power::PowerPolicy;
+pub use world::World;
