@@ -38,7 +38,7 @@
 //!
 //! The measured-vs-analytic discussion lives in `docs/CAPACITY.md`.
 
-use parn_bench::report::{read_artifact, Reporter, Run};
+use parn_bench::report::{read_artifact, spawn_self, Reporter, Run};
 use parn_core::{
     DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode, SourceModel,
 };
@@ -162,18 +162,6 @@ fn run_one(n: usize, model: &str, rate: f64) {
     );
 }
 
-fn spawn_one(n: usize, model: &str, rate: f64) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let status = std::process::Command::new(&exe)
-        .args(["--one", &n.to_string(), model, &rate.to_string()])
-        .status()
-        .expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} model={model} rate={rate}: {status}"
-    );
-}
-
 /// Mean flow distance (m) the traffic model induces at size `n` — the
 /// analytic marginal, not a measurement.
 fn analytic_flow_distance(n: usize, model: &str) -> f64 {
@@ -198,7 +186,7 @@ fn sweep(n: usize, model: &str, ladder: &[f64]) {
     let start = Instant::now();
     let mut runs: Vec<(f64, Json)> = Vec::new();
     for &rate in ladder {
-        spawn_one(n, model, rate);
+        spawn_self(&["--one", &n.to_string(), model, &rate.to_string()], None);
         let record = read_artifact(reporter.path())
             .pop()
             .expect("child appended a line");

@@ -27,12 +27,12 @@
 //! centralized table so per-epoch reroutes (`route_repairs`) are part of
 //! what's measured.
 
-use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
+use parn_bench::report::{determinism_matrix, peak_rss_kb, spawn_self, Reporter, Run};
 use parn_core::{
     ChurnPlan, DestPolicy, FarFieldConfig, MobilityConfig, MobilityModel, NetConfig, Network,
     PhyBackend, RouteMode,
 };
-use parn_sim::{Duration, Json};
+use parn_sim::Duration;
 use std::time::Instant;
 
 fn mobility_config(n: usize, speed: f64, churn_events: usize, threads: usize) -> NetConfig {
@@ -133,67 +133,29 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
     );
 }
 
-fn spawn_one(
-    n: usize,
-    speed: f64,
-    churn_events: usize,
-    threads: usize,
-    bench_dir: Option<&std::path::Path>,
-) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(&exe);
-    cmd.args([
-        "--one",
-        &n.to_string(),
-        &speed.to_string(),
-        &churn_events.to_string(),
-        &threads.to_string(),
-    ]);
-    if let Some(dir) = bench_dir {
-        cmd.env("PARN_BENCH_DIR", dir);
-    }
-    let status = cmd.status().expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} speed={speed} churn={churn_events} failed: {status}"
-    );
-}
-
 fn drive(sweep: &[(usize, f64, usize)]) {
     let reporter = Reporter::create("mobility"); // truncate; children append
     println!("# E9: delivery and reconvergence vs speed x churn, with incremental reindexing");
     println!("# artifact: {}", reporter.path().display());
     println!("# (each line is an independent subprocess; RSS is per-configuration)\n");
     for &(n, speed, churn) in sweep {
-        spawn_one(n, speed, churn, 1, None);
+        spawn_self(
+            &[
+                "--one",
+                &n.to_string(),
+                &speed.to_string(),
+                &churn.to_string(),
+                "1",
+            ],
+            None,
+        );
     }
 }
 
 /// The determinism matrix: same seed, grid + far field, threads 1/2/8 →
 /// the metrics JSON must match byte-for-byte through every move.
 fn determinism(n: usize) {
-    let base = std::env::temp_dir().join(format!("parn_mob_determinism_{}", std::process::id()));
-    let mut metrics_by_threads: Vec<(usize, String)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let dir = base.join(format!("t{threads}"));
-        std::fs::create_dir_all(&dir).expect("create determinism dir");
-        let artifact = dir.join("BENCH_mobility.json");
-        let _ = std::fs::remove_file(&artifact);
-        spawn_one(n, 3.0, 8, threads, Some(&dir));
-        let records: Vec<Json> = read_artifact(&artifact);
-        assert_eq!(records.len(), 1, "expected one artifact line");
-        let metrics = records[0].get("metrics").expect("metrics field").clone();
-        metrics_by_threads.push((threads, metrics.to_string()));
-    }
-    let (_, reference) = &metrics_by_threads[0];
-    for (threads, metrics) in &metrics_by_threads[1..] {
-        assert_eq!(
-            metrics, reference,
-            "mobility metrics diverged between threads=1 and threads={threads}: \
-             the moved-reception recompute order is no longer stable"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&base);
+    determinism_matrix("mobility", &["--one", &n.to_string(), "3", "8"]);
     println!("determinism OK at n={n}: mobility metrics byte-identical across threads 1/2/8");
 }
 

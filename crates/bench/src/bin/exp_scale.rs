@@ -25,7 +25,7 @@
 //! measured window; the point is memory and wall-clock scaling plus the
 //! zero-collision invariant, not long-run throughput statistics.
 
-use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
+use parn_bench::report::{determinism_matrix, peak_rss_kb, spawn_self, Reporter, Run};
 use parn_core::{DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode};
 use parn_sim::{Duration, Json};
 use std::time::Instant;
@@ -96,27 +96,16 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
     );
 }
 
-fn spawn_one(n: usize, backend: &str, threads: usize, bench_dir: Option<&std::path::Path>) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(&exe);
-    cmd.args(["--one", &n.to_string(), backend, &threads.to_string()]);
-    if let Some(dir) = bench_dir {
-        cmd.env("PARN_BENCH_DIR", dir);
-    }
-    let status = cmd.status().expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} backend={backend} threads={threads} failed: {status}"
-    );
-}
-
 fn drive(sweep: &[(usize, &str, usize)]) {
     let reporter = Reporter::create("scale"); // truncate; children append
     println!("# E6: wall-clock and peak RSS, dense vs spatial index");
     println!("# artifact: {}", reporter.path().display());
     println!("# (each line is an independent subprocess; RSS is per-configuration)\n");
     for &(n, backend, threads) in sweep {
-        spawn_one(n, backend, threads, None);
+        spawn_self(
+            &["--one", &n.to_string(), backend, &threads.to_string()],
+            None,
+        );
     }
     println!("\n# dense at n=10^5 is omitted: the matrix alone is ~80 GB (8 B x 10^10).");
 }
@@ -129,41 +118,19 @@ fn counter_of(record: &Json, name: &str) -> u64 {
     }
 }
 
-/// The determinism matrix: same seed, `grid-far`, threads 1/2/8 → the
-/// metrics JSON must match byte-for-byte, and the far cache must hit.
+/// The determinism matrix on `grid-far` at `n`, plus a far-cache floor.
 fn determinism(n: usize) {
-    let base = std::env::temp_dir().join(format!("parn_determinism_{}", std::process::id()));
-    let mut metrics_by_threads: Vec<(usize, String, Json)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let dir = base.join(format!("t{threads}"));
-        std::fs::create_dir_all(&dir).expect("create determinism dir");
-        let artifact = dir.join("BENCH_scale.json");
-        let _ = std::fs::remove_file(&artifact);
-        spawn_one(n, "grid-far", threads, Some(&dir));
-        let records = read_artifact(&artifact);
-        assert_eq!(records.len(), 1, "expected one artifact line");
-        let metrics = records[0].get("metrics").expect("metrics field").clone();
-        metrics_by_threads.push((threads, metrics.to_string(), records[0].clone()));
-    }
-    let (_, reference, baseline) = &metrics_by_threads[0];
-    for (threads, metrics, _) in &metrics_by_threads[1..] {
-        assert_eq!(
-            metrics, reference,
-            "metrics diverged between threads=1 and threads={threads}: \
-             the sweep reduction order is no longer stable"
-        );
-    }
+    let single = determinism_matrix("scale", &["--one", &n.to_string(), "grid-far"]);
     // Hit-rate floor, checked on the single-threaded child (its counters
     // are not split across per-thread caches): the per-cell epoch fix
     // must keep the snapshot cache alive under churn.
-    let hits = counter_of(baseline, "phys.far_cache.hit");
-    let recomputes = counter_of(baseline, "phys.far_cache.recompute");
+    let hits = counter_of(&single, "phys.far_cache.hit");
+    let recomputes = counter_of(&single, "phys.far_cache.recompute");
     let rate = hits as f64 / (hits + recomputes).max(1) as f64;
     assert!(
         rate >= 0.5,
         "far-cache hit rate regressed: {hits} hits / {recomputes} recomputes = {rate:.3} < 0.5"
     );
-    let _ = std::fs::remove_dir_all(&base);
     println!(
         "determinism OK at n={n}: metrics byte-identical across threads 1/2/8, \
          far-cache hit rate {rate:.3}"

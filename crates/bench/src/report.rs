@@ -11,7 +11,9 @@
 //! with the `PARN_BENCH_DIR` environment variable. Multi-process
 //! experiments (`exp_scale` runs one subprocess per configuration so peak
 //! RSS is per-config) have the driver call [`Reporter::create`] (truncate)
-//! and the children [`Reporter::append`] (append a line each).
+//! and the children [`Reporter::append`] (append a line each); the driver
+//! starts each child with [`spawn_self`], and [`determinism_matrix`] runs
+//! one configuration at 1, 2 and 8 sweep threads.
 
 use parn_sim::json::{obj, Json};
 use parn_sim::obs;
@@ -65,14 +67,61 @@ pub fn read_artifact(path: &std::path::Path) -> Vec<Json> {
         .collect()
 }
 
+/// Run this binary again with `args`, artifacts going to `bench_dir`
+/// when given (else wherever [`artifact_dir`] points), and panic unless
+/// the child succeeds. Sweep drivers run each configuration this way so
+/// peak RSS is measured per configuration.
+pub fn spawn_self(args: &[&str], bench_dir: Option<&std::path::Path>) {
+    let exe = std::env::current_exe().expect("current_exe");
+    let mut cmd = std::process::Command::new(&exe);
+    cmd.args(args);
+    if let Some(dir) = bench_dir {
+        cmd.env("PARN_BENCH_DIR", dir);
+    }
+    let status = cmd.status().expect("spawn subprocess");
+    assert!(status.success(), "{}: {status}", args.join(" "));
+}
+
+/// The determinism matrix: run `args` plus a trailing thread count of 1,
+/// 2 and 8 as children, each appending its one record to
+/// `BENCH_<bench>.json` in a throwaway directory, and assert the metrics
+/// JSON is byte-identical across thread counts. Returns the threads = 1
+/// record, whose counters are not split across per-thread caches.
+pub fn determinism_matrix(bench: &str, args: &[&str]) -> Json {
+    let base =
+        std::env::temp_dir().join(format!("parn_determinism_{bench}_{}", std::process::id()));
+    let mut reference: Option<(String, Json)> = None;
+    for threads in ["1", "2", "8"] {
+        let dir = base.join(format!("t{threads}"));
+        std::fs::create_dir_all(&dir).expect("create determinism dir");
+        let artifact = dir.join(format!("BENCH_{bench}.json"));
+        let _ = std::fs::remove_file(&artifact);
+        spawn_self(&[args, &[threads]].concat(), Some(&dir));
+        let mut records = read_artifact(&artifact);
+        assert_eq!(records.len(), 1, "expected one artifact line");
+        let record = records.pop().expect("one record");
+        let metrics = record.get("metrics").expect("metrics field").to_string();
+        match &reference {
+            None => reference = Some((metrics, record)),
+            Some((first, _)) => assert_eq!(
+                &metrics, first,
+                "{bench} metrics diverged between threads=1 and threads={threads}: \
+                 the result depends on the sweep thread count"
+            ),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+    reference.expect("three runs").1
+}
+
 /// One run's inputs to [`Reporter::record`].
 pub struct Run {
     /// Human-readable run label within the experiment
     /// (e.g. `"n=10000 backend=grid-far"`).
     pub label: String,
-    /// Full configuration (`NetConfig::to_json()`,
-    /// `BaselineConfig::to_json()`, or a hand-built object for parameter
-    /// sweeps).
+    /// Full configuration (`NetConfig::to_json()`; for a baseline run,
+    /// `BaselineConfig::to_json(&net)`, which is that plus a `baseline`
+    /// block; or a hand-built object for parameter sweeps).
     pub config: Json,
     /// Result metrics (`Metrics::to_json()` or a hand-built object).
     pub metrics: Json,
